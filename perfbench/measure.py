@@ -2,11 +2,13 @@
 
 The untraced run repeats rounds of construct -> finish -> applies -> serving
 for ``--seconds`` (at least the workload's ``min_rounds``) and reports the
-best round.  The traced run does the
-same construction once untraced and once through the wrappers of
-:mod:`layers`, checks that both produce bit-identical operators, and reports
+median round.  The traced run does the same construction once untraced and
+once through the wrappers of :mod:`layers`, checks that both produce bit-identical operators, and reports
 the per-layer metrics, including the speed-of-light references they are
-normalised by.  Oracle checks run outside every timed region.
+normalised by.  Oracle checks run outside every timed region, and the
+reference values that need dense or exact kernel arrays are computed in the
+child process of :class:`~oracle.Oracle`, so ``peak_rss_mb`` counts only the
+library's memory and the benchmark's inputs.
 """
 
 from __future__ import annotations
@@ -143,14 +145,19 @@ class Outcome:
         self.report.append(text)
 
     def summary(self) -> dict:
+        """The result line.  A non-finite value (a percentile over failed
+        requests) reads -1, so the line stays strict JSON; the failures
+        themselves show in ``failed``."""
+        metrics = {}
+        for name, unit in self.units.items():
+            value = float(self.metrics[name])
+            metrics[name] = {"value": value if math.isfinite(value) else -1.0,
+                             "unit": unit}
         return {
             "correct": self.failed == 0,
             "attempted": max(1, self.attempted),
             "failed": self.failed,
-            "metrics": {
-                name: {"value": float(self.metrics[name]), "unit": unit}
-                for name, unit in self.units.items()
-            },
+            "metrics": metrics,
         }
 
 
@@ -179,8 +186,8 @@ def warm(workload, seed: int) -> None:
     workload.operator(state, product) @ inp["pool"][0]
 
 
-def machine_lines(out: Outcome) -> None:
-    record = machine.record()
+def machine_lines(out: Outcome, environment: dict) -> None:
+    record = {**machine.record(), **environment}
     out.line("machine: " + ", ".join(f"{k}={v}" for k, v in record.items()))
 
 
@@ -218,7 +225,7 @@ def matvec_chunk(operator, x) -> list:
     return [timed(operator.__matmul__, x)[1] for _ in range(MATVEC_CHUNK)]
 
 
-def untraced(workload, seed: int, seconds: float) -> Outcome:
+def untraced(workload, seed: int, seconds: float, ref, environment: dict) -> Outcome:
     """Set up, then run rounds of the whole user pipeline for ``--seconds``.
 
     A round is construct -> finish, the oracle checks, a server registration
@@ -226,14 +233,16 @@ def untraced(workload, seed: int, seconds: float) -> Outcome:
     open-loop requests, closed loop).  Chunks of steady applies are sampled
     between those steps, so they spread over the whole run.  The machine this
     was tuned on drifts in speed by tens of percent for seconds at a time, so
-    every timing is sampled in each round and reported as the best round (as
-    ``timeit`` reports); set-up and registration are medians, and the
-    open-loop percentiles pool all rounds.
+    every timing is sampled in each round and reported as the median over
+    rounds; only the apply time is the fastest of its many samples.  The
+    open-loop percentiles pool all rounds.  ``ref`` is the
+    :class:`~oracle.Oracle` the reference values are computed in.
     """
     out = Outcome(E2E)
     out.line(f"workload {workload.name}: n={workload.n} seed={seed} trace=0")
-    machine_lines(out)
+    machine_lines(out, environment)
     inp = workload.inputs(seed)
+    workload.references(inp, ref)
     warm(workload, seed)
 
     setups = []
@@ -268,7 +277,8 @@ def untraced(workload, seed: int, seconds: float) -> Outcome:
             applies.extend(matvec_chunk(operator, x))
 
         sample_applies()
-        out.check(workload.check(inp, state, product))
+        out.check(workload.check(inp, state, product, ref))
+        out.check(workload.loaded(product))
         counts.append(workload.counts(product))
         sample_applies()
         register_s, stats = serve(out, workload, inp, state, product,
@@ -282,11 +292,11 @@ def untraced(workload, seed: int, seconds: float) -> Outcome:
 
     out.metrics = {
         "setup_s": median(setups) + median(registers),
-        "compress_s": min(compresses),
-        "first_result_s": min(firsts),
+        "compress_s": median(compresses),
+        "first_result_s": median(firsts),
         "operator_mb": operator.memory_bytes()["total"] / 1e6,
         "matvec_ms": min(applies) * 1e3,
-        "serve_rps": max(closed_rps),
+        "serve_rps": median(closed_rps),
         "serve_p50_ms": serving.percentile(latencies, 50),
         "peak_rss_mb": peak_rss_mb(),
     }
@@ -305,7 +315,7 @@ def untraced(workload, seed: int, seconds: float) -> Outcome:
     for name, unit in E2E.items():
         out.line(f"  {name:<16} {out.metrics[name]:12.6g} {unit}")
     for key in sorted({k for extra in extras for k in extra}):
-        out.line(f"  {key:<16} {min(e[key] for e in extras):12.6g} s")
+        out.line(f"  {key:<16} {median(e[key] for e in extras):12.6g} s")
     out.line(f"  {'failed_frac':<16} {out.failed / max(1, out.attempted):12.6g} "
              f"({out.failed} of {out.attempted} operations)")
     out.line(f"  {'serve_p95_ms':<16} {p95:12.6g} ms")
@@ -330,11 +340,12 @@ def _construction_layers(clock: LayerClock) -> list:
     return children
 
 
-def traced(workload, seed: int, seconds: float) -> Outcome:
+def traced(workload, seed: int, seconds: float, ref, environment: dict) -> Outcome:
     out = Outcome(PER_LAYER)
     out.line(f"workload {workload.name}: n={workload.n} seed={seed} trace=1")
-    machine_lines(out)
+    machine_lines(out, environment)
     inp = workload.inputs(seed)
+    workload.references(inp, ref)
     warm(workload, seed)
     m = dict.fromkeys(PER_LAYER, 0.0)
 
@@ -427,7 +438,8 @@ def traced(workload, seed: int, seconds: float) -> Outcome:
         hodlr, m["api.convert.s"] = timed(convert, operator, "hodlr")
         _, m["solvers.factor.s"] = timed(HODLRFactorization, hodlr, shift=NOISE)
 
-    out.check(workload.check(inp, state, product))
+    out.check(workload.check(inp, state, product, ref))
+    out.check(workload.loaded(product))
 
     _, stats = serve(out, workload, inp, state, product, seed, OPEN_REQUESTS)
     sizes = stats.batch_sizes
@@ -444,7 +456,7 @@ def traced(workload, seed: int, seconds: float) -> Outcome:
     m["apply.sol_frac"] = apply_gbs / sol["sol.gemv_gbs"]
     m["sketching.sample.sol_frac"] = _sample_sol_frac(operators, m, sol)
 
-    out.metrics = {k: (v if math.isfinite(v) else -1.0) for k, v in m.items()}
+    out.metrics = m
     out.line(
         f"speed of light: GEMV on {sol['sol.gemv_array_bytes'] / 2**20:.0f} MiB "
         f"(LLC {sol['sol.llc_bytes'] / 2**20:.0f} MiB), GEMM 2048^3, "

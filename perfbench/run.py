@@ -23,9 +23,24 @@ ROOT = os.path.dirname(HERE)
 
 # The server runs its numerical work on two worker threads; one BLAS thread
 # per caller keeps the process at no more compute threads than cores.  This
-# must be set before numpy is first imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# must be set before numpy is first imported.  With the BLAS default of one
+# thread per core, the server's workers oversubscribe the cores and factor,
+# GP and served-solve times are several times slower; the benchmark measures
+# the pinned configuration only, and says so in its report.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: The library's own settings (artifact cache directory, construction path,
+#: fault injection, recovery mode, backend) would change what is measured,
+#: e.g. time a cache load instead of a construction; they are removed.
+CLEARED = sorted(k for k in os.environ if k.startswith("REPRO_"))
+ENVIRONMENT = {
+    "blas_threads_forced": "1 (was " + ", ".join(
+        f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARS) + ")",
+    "cleared_env": " ".join(CLEARED) or "none",
+}
+for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
+for _var in CLEARED:
+    del os.environ[_var]
 
 
 def main(argv=None) -> int:
@@ -50,6 +65,7 @@ def main(argv=None) -> int:
         return 2
 
     import measure
+    from oracle import Oracle
     from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
@@ -57,10 +73,11 @@ def main(argv=None) -> int:
               f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
-    if args.trace:
-        outcome = measure.traced(workload, args.seed, args.seconds)
-    else:
-        outcome = measure.untraced(workload, args.seed, args.seconds)
+    run = measure.traced if args.trace else measure.untraced
+    # The oracle process is forked first, before the process holds any
+    # threads or large arrays.
+    with Oracle() as ref:
+        outcome = run(workload, args.seed, args.seconds, ref, ENVIRONMENT)
     for line in outcome.report:
         print(line)
     print(json.dumps(outcome.summary()), flush=True)

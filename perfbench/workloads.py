@@ -3,11 +3,14 @@
 A workload is split into the steps a user runs:
 
 ``inputs``        seeded points, probe blocks and request pools (untimed);
+``references``    oracle values known from the inputs alone, computed in the
+                  child process of :class:`~oracle.Oracle` (untimed);
 ``setup``         geometry / base operator the timed step needs (``setup_s``);
 ``construct``     the construction call (``compress_s``);
 ``finish``        what turns the construction into a first answer: the first
                   (plan-compiling) apply, or factor + solve (``first_result_s``);
-``check``         oracle checks, outside every timed region;
+``check``         oracle checks, outside every timed region; whatever needs
+                  dense or exact kernel arrays runs in the oracle process;
 ``register``      server registration (and factorization) for serving.
 
 ``construct`` and ``setup`` take an optional :class:`~layers.LayerClock`;
@@ -33,6 +36,7 @@ from repro.serve import InferenceServer, MatvecRequest, PredictRequest, SolveReq
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 from repro.tree import GeneralAdmissibility, WeakAdmissibility
 
+import oracle
 from layers import TimedBackend, TimedExtractor, TimedOperator, bitwise_equal, wrap_bind
 
 TOL = 1e-6
@@ -47,15 +51,6 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
 
 
-def spectral_norm(operator, iterations: int = 8) -> float:
-    """Power-iteration estimate of the 2-norm of a symmetric positive operator."""
-    v = np.full(operator.n, 1.0 / np.sqrt(operator.n))
-    for _ in range(iterations):
-        w = operator.matvec(v)
-        v = w / np.linalg.norm(w)
-    return float(np.linalg.norm(operator.matvec(v)))
-
-
 def points_2d(n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` uniform points in the unit square."""
     return rng.random((n, 2))
@@ -67,8 +62,10 @@ class Workload:
     name = ""
     n = 0
     #: Serving: closed loops of ``clients`` x ``per_client`` requests around
-    #: open-loop Poisson arrivals at ``rate`` requests/s.
-    clients, per_client, rate = 32, 8, 60.0
+    #: open-loop Poisson arrivals at ``rate`` requests/s.  Each rate is a
+    #: fifth to a third of the open-loop rate at which that workload's
+    #: latency starts to grow (the measured curve is in the README).
+    clients, per_client, rate = 32, 8, 40.0
     #: Rounds a run makes even when ``--seconds`` has run out.
     min_rounds = 5
     #: Relative tolerance of a served answer against its reference.
@@ -90,6 +87,18 @@ class Workload:
     def identical(self, a, b) -> bool:
         """Whether two ``construct`` products hold bit-identical operators."""
         return bitwise_equal(a["result"].matrix, b["result"].matrix)
+
+    def references(self, inp, ref) -> None:
+        """Add the oracle values that follow from the inputs alone to ``inp``."""
+
+    def loaded(self, product) -> list:
+        """``(label, value, ok)`` checks that the construction was built, not
+        loaded from an artifact cache."""
+        result = product.get("result")
+        if result is None:
+            return []
+        built = result.construction_path != "cache"
+        return [("loaded_from_cache", 0.0 if built else 1.0, built)]
 
     def counts(self, product) -> dict:
         result = product["result"]
@@ -133,9 +142,11 @@ class KernelCompress(Workload):
             "kernel": kernel,
             "seed": seed,
             "probe": probe,
-            "exact": KernelMatVecOperator(kernel, points, row_block=256).matvec(probe),
             "pool": rng.standard_normal((POOL, n)),
         }
+
+    def references(self, inp, ref) -> None:
+        inp["exact"] = ref(oracle.kernel_apply, inp["kernel"], inp["points"], inp["probe"])
 
     def setup(self, inp, clock=None):
         tree = ClusterTree.build(inp["points"], leaf_size=LEAF)
@@ -161,7 +172,7 @@ class KernelCompress(Workload):
         product["result"].matrix @ inp["pool"][0]
         return {}
 
-    def check(self, inp, state, product) -> list:
+    def check(self, inp, state, product, ref) -> list:
         err = rel_err(product["result"].matrix @ inp["probe"], inp["exact"])
         return [("probe_rel_err", err, err <= TOL)]
 
@@ -196,7 +207,7 @@ class SolveServe(SessionWorkload):
 
     name = "solve-serve-2d"
     n = 4096
-    rate = 30.0
+    rate = 20.0
     solves = 4
 
     def inputs(self, seed: int, n: int | None = None) -> dict:
@@ -208,6 +219,9 @@ class SolveServe(SessionWorkload):
             "rhs": rng.standard_normal((self.solves, points.shape[0])),
             "pool": rng.standard_normal((POOL, points.shape[0])),
         }
+
+    def references(self, inp, ref) -> None:
+        inp["norm"] = ref(oracle.shifted_norm, inp["kernel"], inp["points"], NOISE)
 
     def construct(self, inp, state, clock=None):
         session = state["session"]
@@ -233,21 +247,19 @@ class SolveServe(SessionWorkload):
         counts["cg_iterations"] = sum(s.iterations for s in product["solutions"])
         return counts
 
-    def check(self, inp, state, product) -> list:
+    def check(self, inp, state, product, ref) -> list:
         """Residual against the exact (uncompressed) ``K + noise I``.
 
         A solve of the compressed system leaves a dense residual of at most
         ``||K - H|| ||x|| / ||b||`` plus the solve tolerance; the construction
         targets ``||K - H|| <= tol ||K||``, so that is the bound checked.
         """
-        exact = KernelMatVecOperator(inp["kernel"], inp["points"], row_block=256)
-        if "norm" not in inp:
-            inp["norm"] = spectral_norm(exact) + NOISE
         x = np.stack([s.x for s in product["solutions"]], axis=1)
-        residuals = exact.matvec(x) + NOISE * x - inp["rhs"].T
+        residuals = ref(oracle.shifted_residual_norms, inp["kernel"], inp["points"],
+                        NOISE, x, inp["rhs"].T)
         checks = []
         for j, (b, solution) in enumerate(zip(inp["rhs"], product["solutions"])):
-            residual = float(np.linalg.norm(residuals[:, j]) / np.linalg.norm(b))
+            residual = float(residuals[j] / np.linalg.norm(b))
             bound = TOL * inp["norm"] * np.linalg.norm(solution.x) / np.linalg.norm(b) + 1e-8
             checks.append(("dense_residual_over_bound", residual / bound,
                            bool(solution.converged) and residual <= bound))
@@ -275,7 +287,7 @@ class GPSweep(SessionWorkload):
 
     name = "gp-sweep-2d"
     n = 2048
-    rate = 40.0
+    rate = 20.0
     length_scales = (0.15, 0.2, 0.3)
     exports_operator = True
 
@@ -290,6 +302,10 @@ class GPSweep(SessionWorkload):
             "y": y,
             "pool": y[None, :] + 0.1 * rng.standard_normal((POOL, points.shape[0])),
         }
+
+    def references(self, inp, ref) -> None:
+        inp["dense"] = ref(oracle.gp_references, inp["points"], self.length_scales,
+                           NOISE, inp["pool"])
 
     def construct(self, inp, state, clock=None):
         gp = state["session"].gp(inp["kernel"], noise=NOISE)
@@ -325,19 +341,13 @@ class GPSweep(SessionWorkload):
             "points": len(reports),
         }
 
-    def dense_shifted(self, inp, kernel, noise) -> np.ndarray:
-        points = inp["points"]
-        return kernel.evaluate(points, points) + noise * np.eye(points.shape[0])
-
-    def check(self, inp, state, product) -> list:
+    def check(self, inp, state, product, ref) -> list:
         checks = []
         for report in product["reports"]:
-            kernel = ExponentialKernel(report.params["length_scale"])
-            sign, logdet = np.linalg.slogdet(
-                self.dense_shifted(inp, kernel, report.noise)
-            )
+            sign, logdet, _ = inp["dense"][float(report.params["length_scale"])]
             err = abs(report.log_determinant - logdet) / abs(logdet)
-            checks.append(("logdet_rel_err", err, sign > 0 and err <= 1e-6))
+            ok = sign > 0 and report.noise == NOISE and err <= 1e-6
+            checks.append(("logdet_rel_err", err, ok))
         return checks
 
     def operator(self, state, product):
@@ -352,10 +362,9 @@ class GPSweep(SessionWorkload):
 
     def serve_reference(self, inp, state, product) -> np.ndarray:
         gp = product["gp"]
-        points = inp["points"]
-        k = gp.kernel.evaluate(points, points)
-        alpha = np.linalg.solve(k + gp.noise * np.eye(points.shape[0]), inp["pool"].T)
-        return (k @ alpha).T
+        if gp.noise != NOISE:
+            raise ValueError(f"the fit changed the noise to {gp.noise}")
+        return inp["dense"][float(gp.kernel.length_scale)][2]
 
     def response_value(self, response) -> np.ndarray:
         return response.mean
