@@ -1,7 +1,9 @@
-"""Machine record and speed-of-light references.
+"""Machine record, machine-speed tracking and speed-of-light references.
 
-The references are measured in the traced run on the same machine as the
-layers they normalise: dense GEMV bandwidth (memory bound, on an array at
+:class:`Speedometer` times a fixed reference task between the steps of a
+run, so each timing can be scaled to a fixed nominal machine speed (see its
+docstring).  The speed-of-light references are measured in the traced run
+on the same machine as the layers they normalise: dense GEMV bandwidth (memory bound, on an array at
 least four times the last-level cache), BLAS-3 GEMM rate and kernel entries
 per second from ``ExponentialKernel.evaluate``.  Byte counts are computed from
 array sizes, not read from hardware counters.
@@ -9,8 +11,11 @@ array sizes, not read from hardware counters.
 
 from __future__ import annotations
 
+import bisect
+import concurrent.futures
 import ctypes
 import glob
+import math
 import os
 import platform
 import statistics
@@ -115,3 +120,104 @@ def speed_of_light() -> dict:
         "sol.gemv_array_bytes": gemv_array_bytes,
         "sol.llc_bytes": llc,
     }
+
+
+#: Value of a :class:`Speedometer` tick at nominal speed: about its median
+#: on the 2-vCPU machine the benchmark was tuned on.  A constant, so scaled
+#: timings compare across runs and commits.
+NOMINAL_SECONDS = 1.2e-3
+#: Bytes the memory part of the reference task reads: more than the largest
+#: operator the benchmark applies (22 MB), so it leaves the shared
+#: last-level cache no later than they do when neighbours crowd it.
+STREAM_BYTES = 64 * 2**20
+#: Repetitions of each part of the reference task in one tick; a tick keeps
+#: each part's fastest repetition.
+TICK_REPEATS = 3
+
+
+class Speedometer:
+    """Tracks how fast the machine runs while a benchmark runs on it.
+
+    The machine the benchmark was tuned on is two vCPUs of a shared host.
+    Its speed drifts by 1.3-2x for seconds to minutes at a time, and a fresh
+    process can run interpreted code up to 1.4x slower than the one before
+    it; runs of the same code then differ by more than any bound a metric
+    may have.  Most of that drift hits all work together, so a *tick* times
+    a fixed reference task with three kinds of work, each weighted a third:
+    numerical (GEMM, cached GEMV, NumPy element-wise), interpreter (a Python
+    loop, thread hand-offs) and memory (reading ``STREAM_BYTES``).  Its
+    value, the geometric mean of the parts' times, says how slow the
+    machine is at that moment; ``NOMINAL_SECONDS`` is its value at nominal
+    speed.
+
+    :meth:`factor` turns the ticks around a step into the factor that
+    scales the step's seconds to nominal speed.  The reference task uses
+    NumPy only, never the program under test, so a change to the program
+    moves the scaled times as much as the raw ones.
+    """
+
+    def __init__(self) -> None:
+        rng = np.random.default_rng(0)
+        self._square = rng.standard_normal((256, 256))
+        self._vector = rng.standard_normal(256)
+        self._distances = rng.random((128, 512))
+        self._stream = np.ones(STREAM_BYTES // 8)
+        self._pool = concurrent.futures.ThreadPoolExecutor(1)
+        self._kinds = ((self._gemm, self._gemv, self._elementwise),
+                       (self._interpreter, self._hand_off),
+                       (self._memory,))
+        #: ``(perf_counter time, value)`` of every tick, in order.
+        self.log: list = []
+        self.tick()
+
+    def _gemm(self) -> None:
+        self._square @ self._square
+
+    def _gemv(self) -> None:
+        for _ in range(50):
+            self._square @ self._vector
+
+    def _elementwise(self) -> None:
+        np.exp(-np.sqrt(self._distances * self._distances) / 0.2)
+
+    def _interpreter(self) -> None:
+        total = 0
+        for i in range(10000):
+            total += i * i
+
+    def _hand_off(self) -> None:
+        for _ in range(30):
+            self._pool.submit(int).result()
+
+    def _memory(self) -> None:
+        self._stream.sum()
+
+    def tick(self) -> float:
+        """Time the reference task now; log and return its value in seconds."""
+        kinds = []
+        for parts in self._kinds:
+            logs = []
+            for part in parts:
+                times = []
+                for _ in range(TICK_REPEATS):
+                    start = time.perf_counter()
+                    part()
+                    times.append(time.perf_counter() - start)
+                logs.append(math.log(min(times)))
+            kinds.append(sum(logs) / len(logs))
+        value = math.exp(sum(kinds) / len(kinds))
+        self.log.append((time.perf_counter(), value))
+        return value
+
+    def factor(self, t0: float, t1: float) -> float:
+        """Nominal over actual speed for a step from ``t0`` to ``t1``: from
+        the geometric mean of the last tick before ``t0`` and the first after
+        ``t1`` (the nearest ticks when there is none on a side)."""
+        times = [t for t, _ in self.log]
+        before = max(bisect.bisect_right(times, t0) - 1, 0)
+        after = min(bisect.bisect_left(times, t1), len(times) - 1)
+        return NOMINAL_SECONDS / math.sqrt(self.log[before][1] * self.log[after][1])
+
+    def close(self) -> None:
+        """Stop the hand-off thread and wait for it."""
+        self._pool.shutdown(wait=True)

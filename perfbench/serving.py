@@ -18,9 +18,12 @@ import numpy as np
 
 @dataclass
 class ServeStats:
-    #: Throughput of each closed loop.
+    #: Throughput of each closed loop, and its (start, end) perf_counter times.
     closed_rps: List[float] = field(default_factory=list)
+    closed_spans: List[tuple] = field(default_factory=list)
     open_latency_ms: List[float] = field(default_factory=list)
+    #: (start, end) perf_counter times of the open loop.
+    open_span: tuple = (0.0, 0.0)
     server_ms: List[float] = field(default_factory=list)
     client_overhead_ms: List[float] = field(default_factory=list)
     batch_sizes: List[int] = field(default_factory=list)
@@ -68,7 +71,9 @@ async def _closed_loop(server, make, check, stats, clients, per_client):
 
     start = time.perf_counter()
     await asyncio.gather(*(client(c) for c in range(clients)))
-    stats.closed_rps.append(clients * per_client / (time.perf_counter() - start))
+    stop = time.perf_counter()
+    stats.closed_rps.append(clients * per_client / (stop - start))
+    stats.closed_spans.append((start, stop))
 
 
 async def _open_loop(server, make, check, stats, rate, count, rng):
@@ -85,6 +90,7 @@ async def _open_loop(server, make, check, stats, rate, count, rng):
             _one(server, i, make, check, stats, float(due), record=True)
         ))
     stats.open_latency_ms = list(await asyncio.gather(*tasks))
+    stats.open_span = (start, time.perf_counter())
 
 
 def drive(
